@@ -82,7 +82,6 @@ def _campaign(modality: str, **kwargs):
         ATTEMPTS,
         modality=modality,
         attack_config=_attack_config(modality),
-        fork_from_template=True,
         scenario=scenario_preset("duet"),
         **kwargs,
     )
@@ -130,10 +129,8 @@ def eviction_overheads(metrics: dict) -> dict:
 
 def digest_parity() -> dict:
     """Evictframe duet campaign digest: serial vs a 2-worker ship pool."""
-    from repro.parallel.pool import run_campaign
-
     serial = _campaign("evictframe").run()
-    pooled = run_campaign(_campaign("evictframe", workers=2))
+    pooled = _campaign("evictframe", workers=2).run()
     return {"serial": serial.digest(), "workers x2": pooled.digest()}
 
 
@@ -145,7 +142,6 @@ def explframe_t10_digest() -> str:
         _campaign_config(),
         2,
         attack_config=_attack_config("explframe"),
-        fork_from_template=True,
     ).run()
     assert result.successes == 2
     return result.digest()

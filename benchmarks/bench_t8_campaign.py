@@ -7,16 +7,19 @@ machine can be snapshotted and forked per attempt instead of rebuilt.
 
 One table: a 20-attempt campaign run two ways —
 
-* rebuild (pre-refactor behaviour: fresh machine + fresh templating per
-  attempt),
-* fork (template once, fork a warm machine per attempt).
+* rebuild (the reference twin, a bench-local loop: a fresh
+  ``campaign._warm()`` — machine + templating — then
+  ``campaign._run_attempt`` for every attempt),
+* fork (``AttackCampaign.run``: template once, fork a warm machine per
+  attempt — the only production path).
 
 Acceptance: fork is ≥3× faster than rebuild in wall-clock, and both
-modes produce **bit-identical** campaign digests — the SHA-256 over
-every attempt's canonical report JSON — proving that snapshot/fork
-does not perturb the attack.  (The polled-vs-events equivalence
-control this table used to carry retired along with the polled core;
-``timed_core="polled"`` is now a ConfigError.)
+produce **bit-identical** campaign digests — the SHA-256 over every
+attempt's canonical report JSON — proving that snapshot/fork does not
+perturb the attack.  (The polled-vs-events equivalence control this
+table used to carry retired along with the polled core, and rebuild
+retired as a campaign mode: ``fork_from_template=False`` is now a
+ConfigError.)
 
 Each mode runs in a fresh interpreter subprocess (the same isolation
 pyperf uses).  When ``Machine.fork`` was still a deepcopy storm its
@@ -30,6 +33,7 @@ mirrors how campaigns actually run (one process per campaign).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -41,14 +45,10 @@ SEED = 7
 ATTEMPTS = 20
 MIN_SPEEDUP = 3.0
 
-#: label -> (timed_core, fork_from_template)
-MODES = {
-    "rebuild / events": ("events", False),
-    "fork / events": ("events", True),
-}
+MODES = ("rebuild", "fork")
 
 
-def run_campaign(timed_core: str, fork: bool) -> dict:
+def run_campaign(mode: str) -> dict:
     """One full campaign in the current process.
 
     Returns ``{"wall": seconds, "digest": hex, "successes": int}``.
@@ -66,28 +66,38 @@ def run_campaign(timed_core: str, fork: bool) -> dict:
             seed=SEED,
             geometry=DRAMGeometry.small(),
             flip_model=FlipModelConfig.highly_vulnerable(),
-            timed_core=timed_core,
         ),
         ATTEMPTS,
         attack_config=ExplFrameConfig(
             templator=TemplatorConfig(buffer_bytes=4 * MIB, rounds=1_300_000, batch_pairs=8)
         ),
         orchestrator_config=OrchestratorConfig(deadline_ns=600 * SECOND),
-        fork_from_template=fork,
     )
     begin = time.perf_counter()
-    result = campaign.run()
+    if mode == "fork":
+        result = campaign.run()
+        digest, successes = result.digest(), result.successes
+    else:
+        hasher = hashlib.sha256()
+        successes = 0
+        for index in range(ATTEMPTS):
+            machine, attack, candidates = campaign._warm()
+            report, _ = campaign._run_attempt(machine, attack, candidates, index)
+            hasher.update(report.to_json().encode("utf-8"))
+            hasher.update(b"\n")
+            successes += report.success
+        digest = hasher.hexdigest()
     wall = time.perf_counter() - begin
-    return {"wall": wall, "digest": result.digest(), "successes": result.successes}
+    return {"wall": wall, "digest": digest, "successes": successes}
 
 
-def run_campaign_subprocess(timed_core: str, fork: bool) -> dict:
+def run_campaign_subprocess(mode: str) -> dict:
     """``run_campaign`` in a pristine interpreter; parses its JSON result."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, __file__, timed_core, "1" if fork else "0"],
+        [sys.executable, __file__, mode],
         capture_output=True,
         text=True,
         env=env,
@@ -99,14 +109,14 @@ def run_campaign_subprocess(timed_core: str, fork: bool) -> dict:
 def test_t8_campaign_fanout(benchmark):
     from repro.analysis.tabulate import format_table, write_results
 
-    outcomes = {label: run_campaign_subprocess(*spec) for label, spec in MODES.items()}
+    outcomes = {mode: run_campaign_subprocess(mode) for mode in MODES}
 
     # Bit-identical attacks across fork-vs-rebuild.
     digests = {label: outcome["digest"] for label, outcome in outcomes.items()}
     assert len(set(digests.values())) == 1, f"campaign digests diverged: {digests}"
-    successes = outcomes["fork / events"]["successes"]
+    successes = outcomes["fork"]["successes"]
 
-    base = outcomes["rebuild / events"]["wall"]
+    base = outcomes["rebuild"]["wall"]
     rows = []
     for label in MODES:
         wall = outcomes[label]["wall"]
@@ -130,17 +140,17 @@ def test_t8_campaign_fanout(benchmark):
     write_results("t8_campaign", table)
 
     assert successes == ATTEMPTS, f"campaign lost attempts: {successes}/{ATTEMPTS}"
-    speedup = base / outcomes["fork / events"]["wall"]
+    speedup = base / outcomes["fork"]["wall"]
     assert speedup >= MIN_SPEEDUP, (
         f"fork speedup {speedup:.2f}x below the {MIN_SPEEDUP}x bar"
     )
 
     benchmark.pedantic(
-        lambda: run_campaign_subprocess("events", fork=True),
+        lambda: run_campaign_subprocess("fork"),
         rounds=1,
         iterations=1,
     )
 
 
 if __name__ == "__main__":
-    print(json.dumps(run_campaign(sys.argv[1], sys.argv[2] == "1")))
+    print(json.dumps(run_campaign(sys.argv[1])))

@@ -685,10 +685,11 @@ class CampaignResult:
     """Outcome of an N-attempt campaign.
 
     ``digest()`` hashes every attempt's canonical report JSON, in order —
-    the equality witness that the fork and rebuild strategies, the
-    event-driven and polled cores, and every worker count produce
-    literally the same attacks.  ``metrics`` (the per-attempt registries
-    merged with :func:`~repro.obs.metrics.merge_metric_states`), ``pool``
+    the equality witness that every worker count, shard split and
+    resume, and the rebuild-per-attempt reference twin (a fresh
+    ``_warm()`` per attempt), produce literally the same attacks.
+    ``metrics`` (the per-attempt registries merged with
+    :func:`~repro.obs.metrics.merge_metric_states`), ``pool``
     (worker-pool stats: wall times, pids) and ``service`` (checkpoint
     journal stats) ride outside the digest — the first is
     order-deterministic, the latter two are host noise.
@@ -702,7 +703,7 @@ class CampaignResult:
     """
 
     reports: tuple[AttackRunReport, ...]
-    mode: str  # "fork" | "rebuild"
+    mode: str  # "fork"
     metrics: dict | None = None
     pool: dict | None = None
     service: dict | None = None
@@ -759,27 +760,25 @@ class AttackCampaign:
     randomness (PFA plaintexts, victim interaction) varies per attempt
     while the hardware and the templated state stay fixed.
 
-    Two interchangeable strategies reach that state:
+    The machine is built and templated **once**, snapshotted, and
+    :meth:`~repro.core.machine.MachineSnapshot.fork`-ed per attempt, so
+    the dominant fixed cost (templating a whole buffer under refresh) is
+    paid one time.  Determinism makes a fork equal to a rebuild: a fresh
+    :meth:`_warm` reaches bit-identical post-templating state, so running
+    :meth:`_run_attempt` on it per attempt — the reference twin the
+    tests and bench T8 keep — gives the same :meth:`CampaignResult.digest`.
 
-    * ``fork_from_template=True`` — build + template **once**, snapshot,
-      and :meth:`~repro.core.machine.MachineSnapshot.fork` per attempt.
-      The dominant fixed cost (templating a whole buffer under refresh)
-      is paid one time.
-    * ``fork_from_template=False`` — rebuild and re-template per attempt
-      (the pre-refactor behaviour).
-
-    Determinism makes them equivalent by construction: a rebuilt machine
-    reaches bit-identical post-templating state, so reseeding it matches
-    reseeding a fork, and :meth:`CampaignResult.digest` comes out equal.
-
-    With ``workers > 1`` the attempts are dispatched across a process
-    pool (see :mod:`repro.parallel.pool`); ``pool_mode`` picks whether
-    the warm snapshot is pickled once and shipped to every worker
-    (``"ship"``) or each worker re-warms from the config (``"rewarm"``).
-    The digest is identical for every ``workers`` value by construction:
-    attempt ``i`` always runs on a fork re-keyed with
+    Attempts run through :func:`~repro.parallel.pool.iter_campaign`: in
+    process with ``workers == 1``, otherwise on a process pool that the
+    pickled warm snapshot is shipped to once per worker.  The digest is
+    identical for every ``workers`` value by construction: attempt ``i``
+    always runs on a fork re-keyed with
     ``derive_seed(base_seed, "campaign/i")``, and reports are ordered by
     attempt index before hashing (docs/CAMPAIGNS.md).
+
+    ``fork_from_template`` and ``pool_mode`` are retired knobs, kept
+    only as validated constants (like ``MachineConfig.timed_core``):
+    anything but ``True`` and ``"ship"`` is a :class:`ConfigError`.
 
     A non-``"none"`` ``chaos_profile`` attaches a per-attempt
     :class:`~repro.sim.chaos.ChaosPlan` derived from the attempt seed
@@ -787,8 +786,6 @@ class AttackCampaign:
     machine after the reseed, so adversity varies across attempts but is
     a pure function of (profile, attempt seed, intensity).
     """
-
-    POOL_MODES = ("ship", "rewarm")
 
     def __init__(
         self,
@@ -811,9 +808,18 @@ class AttackCampaign:
             raise ConfigError(f"attempts must be positive, got {attempts}")
         if workers < 1:
             raise ConfigError(f"workers must be at least 1, got {workers}")
-        if pool_mode not in self.POOL_MODES:
+        if fork_from_template is not True:
             raise ConfigError(
-                f"unknown pool_mode {pool_mode!r}; expected one of {self.POOL_MODES}"
+                f"fork_from_template={fork_from_template!r} is not supported: "
+                "rebuilding per attempt was retired (a fork is bit-identical "
+                "and every campaign now forks one warm snapshot) — drop the "
+                "fork_from_template override"
+            )
+        if pool_mode != "ship":
+            raise ConfigError(
+                f"pool_mode {pool_mode!r} is not supported: the 'rewarm' pool "
+                "was retired (shipping the warm snapshot is bit-identical and "
+                "is now the only pool) — drop the pool_mode override"
             )
         # Resolved eagerly so an unknown name fails at construction (CLI
         # exit 2), not in a worker process mid-campaign.
@@ -823,11 +829,9 @@ class AttackCampaign:
         self.attempts = attempts
         self.attack_config = attack_config or modality_impl.default_config()
         self.orchestrator_config = orchestrator_config or OrchestratorConfig()
-        self.fork_from_template = fork_from_template
         self.chaos_profile = chaos_profile
         self.chaos_intensity = chaos_intensity
         self.workers = workers
-        self.pool_mode = pool_mode
         # A repro.workload Scenario (or None): attempts run against a
         # multi-tenant machine, steering at the target tenant amid
         # background traffic.  Plain frozen data — it pickles to workers,
@@ -842,8 +846,8 @@ class AttackCampaign:
 
     @property
     def mode(self) -> str:
-        """The strategy label reports carry: ``"fork"`` or ``"rebuild"``."""
-        return "fork" if self.fork_from_template else "rebuild"
+        """The strategy label results carry: always ``"fork"``."""
+        return "fork"
 
     def _attempt_seed(self, index: int) -> int:
         return derive_seed(self.base_config.seed, f"campaign/{index}")
@@ -879,9 +883,9 @@ class AttackCampaign:
         """Run attempt ``index`` on its machine; (report, metrics dump).
 
         The reseed happens first, then the per-attempt chaos plan (if
-        any) attaches — identical ordering in serial, pooled, fork and
-        rebuild execution, which is what keeps the digest mode- and
-        worker-count-independent.
+        any) attaches — identical ordering in serial and pooled
+        execution and in the rebuild reference twin, which is what keeps
+        the digest worker-count-independent.
         """
         seed = self._attempt_seed(index)
         machine.rng.reseed(seed)
@@ -898,47 +902,28 @@ class AttackCampaign:
         report = orchestrator.run()
         return report, machine.obs.metrics.export_state()
 
-    def _run_attempt_fresh(self, index: int):
-        """Attempt ``index`` on its own machine (rebuild-mode unit of work)."""
-        machine, attack, candidates = self._warm()
-        return self._run_attempt(machine, attack, candidates, index)
-
-    def _finish(self, outcomes, pool: dict | None) -> CampaignResult:
-        """Assemble the result from ordered (report, metrics dump) pairs."""
-        from repro.obs.metrics import merge_metric_states
-
-        reports = tuple(report for report, _ in outcomes)
-        merged = merge_metric_states([state for _, state in outcomes])
-        return CampaignResult(
-            reports=reports, mode=self.mode, metrics=merged, pool=pool
-        )
-
     def run(self) -> CampaignResult:
         """Execute every attempt; returns the ordered results."""
-        if self.workers > 1:
-            from repro.parallel.pool import run_campaign
+        from repro.obs.metrics import merge_metric_states
+        from repro.parallel.pool import campaign_pool_block, iter_campaign
 
-            return run_campaign(self)
-        outcomes = []
-        if not self.fork_from_template:
-            for index in range(self.attempts):
-                outcomes.append(self._run_attempt_fresh(index))
-        else:
-            snapshot = self._warm_snapshot()
-            for index in range(self.attempts):
-                forked, extras = snapshot.fork()
-                outcomes.append(
-                    self._run_attempt(
-                        forked, extras["attack"], extras["candidates"], index
-                    )
-                )
-        from repro.parallel.pool import make_pool_block
-
-        pool = make_pool_block(
-            workers=1,
-            mode="serial",
+        outcomes: list = [None] * self.attempts
+        wall_by_pid: dict[int, int] = {}
+        for index, report, state, pid, wall_ns in iter_campaign(
+            self, range(self.attempts)
+        ):
+            outcomes[index] = (report, state)
+            wall_by_pid[pid] = wall_by_pid.get(pid, 0) + wall_ns
+        pool = campaign_pool_block(
+            self,
+            self.attempts,
             dispatched=self.attempts,
             completed=self.attempts,
-            worker_wall_ns={},
+            wall_by_pid=wall_by_pid,
         )
-        return self._finish(outcomes, pool)
+        return CampaignResult(
+            reports=tuple(report for report, _ in outcomes),
+            mode=self.mode,
+            metrics=merge_metric_states([state for _, state in outcomes]),
+            pool=pool,
+        )

@@ -293,12 +293,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
 def _cmd_attack_campaign(args: argparse.Namespace, scenario=None) -> int:
     """Run ``--campaign N`` orchestrated attempts; exit 0 iff all succeed.
 
-    With ``--fork-from-template`` the machine is built and templated once
-    and every attempt runs on an independent fork of that warm state;
-    otherwise each attempt rebuilds from scratch (same reports, slower).
-    ``--chaos`` derives a per-attempt plan from each attempt's seed, and
-    ``--workers N`` fans the attempts out across a process pool — the
-    report digest is identical for every worker count (docs/CAMPAIGNS.md).
+    The machine is built and templated once and every attempt runs on an
+    independent fork of that warm state.  ``--chaos`` derives a
+    per-attempt plan from each attempt's seed, and ``--workers N`` fans
+    the attempts out across a process pool — the report digest is
+    identical for every worker count (docs/CAMPAIGNS.md).
 
     ``--checkpoint DIR`` routes execution through the campaign service:
     attempts are journaled as they complete, ``--resume`` continues an
@@ -312,6 +311,29 @@ def _cmd_attack_campaign(args: argparse.Namespace, scenario=None) -> int:
     from repro.attack.templating import TemplatorConfig
     from repro.sim.errors import ConfigError
     from repro.sim.units import SECOND
+
+    # Every attempt is orchestrated on its own fork, with no machine left
+    # to trace or tabulate, and the service knobs need a checkpoint:
+    # these flags would otherwise be accepted and silently ignored.
+    for flag, name in (
+        (args.trace, "--trace"),
+        (args.metrics, "--metrics"),
+        (args.orchestrate, "--orchestrate"),
+        (args.single_shot, "--single-shot"),
+    ):
+        if flag:
+            raise ConfigError(f"{name} does not apply to --campaign")
+    if args.checkpoint is None:
+        for flag, name in (
+            (args.resume, "--resume"),
+            (args.shard != "0/1", "--shard"),
+            (args.merge_shards, "--merge-shards"),
+            (args.stream_out, "--stream-out"),
+            (args.window != 0, "--window"),
+            (args.worker_retries != 2, "--worker-retries"),
+        ):
+            if flag:
+                raise ConfigError(f"{name} requires --checkpoint DIR")
 
     cipher, cpu = _scenario_attack_knobs(args, scenario)
     campaign = AttackCampaign(
@@ -332,22 +354,12 @@ def _cmd_attack_campaign(args: argparse.Namespace, scenario=None) -> int:
         orchestrator_config=OrchestratorConfig(
             deadline_ns=int(args.deadline * SECOND),
         ),
-        fork_from_template=args.fork_from_template,
         chaos_profile=args.chaos,
         chaos_intensity=args.chaos_intensity,
         workers=args.workers,
-        pool_mode=args.pool_mode,
         scenario=scenario,
     )
     if args.checkpoint is None:
-        for flag, name in (
-            (args.resume, "--resume"),
-            (args.shard != "0/1", "--shard"),
-            (args.merge_shards, "--merge-shards"),
-            (args.stream_out, "--stream-out"),
-        ):
-            if flag:
-                raise ConfigError(f"{name} requires --checkpoint DIR")
         result = campaign.run()
     else:
         from repro.parallel.service import CampaignService, Shard, merge_shards
@@ -594,12 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="run N orchestrated attempts as a campaign (0 = single run)",
-    )
-    attack.add_argument(
-        "--fork-from-template",
-        action="store_true",
-        help="with --campaign: template once and fork a warm machine per attempt",
+        help="run N orchestrated attempts as a campaign, each on a fork of "
+        "one warm (templated) machine (0 = single run)",
     )
     attack.add_argument(
         "--workers",
@@ -608,13 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="with --campaign: run attempts on N worker processes "
         "(default 1 = in-process; the report digest is identical either way)",
-    )
-    attack.add_argument(
-        "--pool-mode",
-        choices=["ship", "rewarm"],
-        default="ship",
-        help="with --workers > 1 and --fork-from-template: ship the pickled "
-        "warm snapshot to workers (default) or re-warm in each worker",
     )
     attack.add_argument(
         "--checkpoint",

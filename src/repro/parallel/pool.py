@@ -9,25 +9,16 @@ byte-identical whether the attempts run serially, on 2 workers or on
 16, and regardless of completion order (reports are re-ordered by
 attempt index before merging).
 
-Two ways to get the warm state into a worker:
-
-* **ship** — the parent warms once, pickles the
-  :class:`~repro.core.machine.MachineSnapshot` with
-  :meth:`~repro.core.machine.MachineSnapshot.to_bytes`, and every worker
-  rehydrates it in its initializer.  One templating pass total; the blob
-  crosses the process boundary once per worker.  The CoW frame store
-  serialises compactly — a small object-graph pickle plus one packed
-  payload of the materialised frames — and the rehydrated snapshot's
-  forks share those frames copy-on-write, so per-attempt fork cost in
-  the worker is O(1) in module size.
-* **rewarm** — each worker builds + templates from the pickled template
-  config in its initializer.  No big blob, but the warm cost is paid
-  once per worker; useful when the snapshot is large relative to the
-  warm time or the start method cannot share parent memory.
-
-``fork_from_template=False`` campaigns skip the snapshot entirely: each
-attempt rebuilds its own machine inside the worker (**rebuild**), which
-is the unit of work the serial rebuild path runs too.
+Every attempt forks one warm snapshot (built by the campaign's
+:meth:`~repro.attack.orchestrator.AttackCampaign._warm_snapshot`), and
+:func:`iter_campaign` is the only attempt driver.  With ``workers == 1``
+it forks the snapshot in process (**serial**).  Otherwise the parent
+pickles the snapshot once with
+:meth:`~repro.core.machine.MachineSnapshot.to_bytes` and every worker
+rehydrates it in its initializer (**ship**).  The CoW frame store
+serialises compactly, and the rehydrated snapshot's forks share its
+frames copy-on-write, so per-attempt fork cost in the worker is O(1) in
+module size.
 
 Per-worker telemetry cannot be deterministic (host wall time, pids), so
 it lives in the result's ``pool`` block — outside both the digest and
@@ -36,10 +27,12 @@ the merged per-attempt ``metrics`` block.  The block's keys are the
 registered through :func:`register_pool_metrics` so the telemetry-docs
 checker covers them.
 
-Dispatch is *bounded*: :func:`iter_campaign` keeps at most a small
-window of attempts in flight and yields each outcome as it completes, so
-a 10k-attempt campaign never holds 10k futures (or their results) at
-once.  :func:`run_campaign` collects the stream into an in-memory
+Pooled dispatch is *bounded*: :func:`iter_campaign` keeps at most a
+small window of attempts in flight and yields each outcome as it
+completes, so a 10k-attempt campaign never holds 10k futures (or their
+results) at once.
+:meth:`~repro.attack.orchestrator.AttackCampaign.run` collects the
+stream into an in-memory
 :class:`~repro.attack.orchestrator.CampaignResult`; the checkpointed
 campaign service (:mod:`repro.parallel.service`) journals and releases
 each outcome instead.  A worker that dies mid-attempt (OOM kill,
@@ -61,11 +54,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.errors import WorkerLostError
 
 __all__ = [
-    "dispatch_mode",
+    "campaign_pool_block",
     "iter_campaign",
     "make_pool_block",
     "register_pool_metrics",
-    "run_campaign",
     "run_sweep",
 ]
 
@@ -106,8 +98,7 @@ def register_pool_metrics(registry, mode: str = "serial", workers_seen=(0,)):
         ),
         "mode": registry.gauge(
             "campaign.pool.mode", labels={"mode": mode}, unit="flag",
-            help="how warm state reached the workers: "
-            "serial, ship, rewarm or rebuild",
+            help="how warm state reached the workers: serial or ship",
         ),
         "worker_wall": {
             worker: registry.gauge(
@@ -143,59 +134,69 @@ def make_pool_block(
     return registry.snapshot()
 
 
+def campaign_pool_block(
+    campaign, attempts: int, *, dispatched: int, completed: int, wall_by_pid: dict
+) -> dict:
+    """The ``pool`` block of a run of ``campaign`` covering ``attempts`` attempts.
+
+    ``wall_by_pid`` maps each process that ran attempts to its summed
+    host nanoseconds; processes are numbered 0..N-1 in pid order.
+    """
+    return make_pool_block(
+        workers=min(campaign.workers, max(1, attempts)),
+        mode="serial" if campaign.workers == 1 else "ship",
+        dispatched=dispatched,
+        completed=completed,
+        worker_wall_ns={
+            worker: wall_by_pid[pid] for worker, pid in enumerate(sorted(wall_by_pid))
+        },
+    )
+
+
 # -- campaign dispatch -------------------------------------------------------------
 
 
-def _campaign_init(campaign, snapshot_blob, warm_locally) -> None:
-    """Pool initializer: stage the campaign's warm state in this worker."""
+def _campaign_init(campaign, snapshot_blob) -> None:
+    """Pool initializer: rehydrate the shipped warm snapshot in this worker."""
     from repro.core.machine import MachineSnapshot
 
-    snapshot = None
-    if snapshot_blob is not None:
-        snapshot = MachineSnapshot.from_bytes(snapshot_blob)
-    elif warm_locally:
-        snapshot = campaign._warm_snapshot()
     _STATE["campaign"] = campaign
-    _STATE["snapshot"] = snapshot
+    _STATE["snapshot"] = MachineSnapshot.from_bytes(snapshot_blob)
 
 
-def _campaign_attempt(index: int):
-    """Run one attempt in this worker; the unit of dispatched work."""
+def _fork_attempt(campaign, snapshot, index: int):
+    """Run attempt ``index`` on a fork of ``snapshot``; the unit of work."""
     start = time.perf_counter_ns()
-    campaign = _STATE["campaign"]
-    snapshot = _STATE["snapshot"]
-    if snapshot is None:
-        report, metrics_state = campaign._run_attempt_fresh(index)
-    else:
-        machine, extras = snapshot.fork()
-        report, metrics_state = campaign._run_attempt(
-            machine, extras["attack"], extras["candidates"], index
-        )
+    machine, extras = snapshot.fork()
+    report, metrics_state = campaign._run_attempt(
+        machine, extras["attack"], extras["candidates"], index
+    )
     wall_ns = time.perf_counter_ns() - start
     return index, report, metrics_state, os.getpid(), wall_ns
 
 
-def dispatch_mode(campaign) -> str:
-    """How warm state reaches the workers: ``ship``, ``rewarm`` or ``rebuild``."""
-    if not campaign.fork_from_template:
-        return "rebuild"
-    return campaign.pool_mode
+def _campaign_attempt(index: int):
+    """Pool task: one attempt on this worker's rehydrated snapshot."""
+    return _fork_attempt(_STATE["campaign"], _STATE["snapshot"], index)
 
 
-def iter_campaign(campaign, indices, *, window: int = 0, snapshot_blob=None):
+def iter_campaign(campaign, indices, *, window: int = 0, snapshot=None, snapshot_blob=None):
     """Yield ``(index, report, metrics_state, pid, wall_ns)`` as attempts finish.
 
-    The streaming core of pooled dispatch: at most ``window`` attempts
-    (default ``2 * workers``) are submitted at a time, and each outcome
+    The one attempt driver.  With ``campaign.workers == 1`` each attempt
+    runs in this process on a fork of the warm snapshot, in ``indices``
+    order.  Otherwise at most ``window`` attempts (default
+    ``2 * workers``) are in flight on a process pool, and each outcome
     is yielded — and released — as soon as its future completes, so
-    memory stays bounded by the window, not the campaign size.  Yield
-    order is completion order; callers that need attempt order (the
-    digest does) re-order or journal by the yielded ``index``.
+    memory stays bounded by the window, not the campaign size.  Pooled
+    yield order is completion order; callers that need attempt order
+    (the digest does) re-order or journal by the yielded ``index``.
 
-    ``snapshot_blob`` lets a caller that already holds the pickled warm
-    snapshot (the campaign service re-uses one across worker-loss pool
-    rebuilds) skip the warm pass; without it, ship-mode campaigns warm
-    and pickle here.
+    A caller that already holds the warm ``snapshot`` passes it in, and
+    may add its pickled ``snapshot_blob`` (the campaign service re-uses
+    one across worker-loss pool rebuilds); the pool ships the blob,
+    pickling ``snapshot`` when none is given.  Without either, the
+    campaign warms here through its ``_warm_snapshot``.
 
     Raises :class:`~repro.sim.errors.WorkerLostError` (carrying the
     attempt index whose result was lost) when a worker process dies —
@@ -205,25 +206,25 @@ def iter_campaign(campaign, indices, *, window: int = 0, snapshot_blob=None):
     indices = list(indices)
     if not indices:
         return
-    workers = max(1, min(campaign.workers, len(indices)))
+    if campaign.workers == 1:
+        if snapshot is None:
+            snapshot = campaign._warm_snapshot()
+        for index in indices:
+            yield _fork_attempt(campaign, snapshot, index)
+        return
+    if snapshot_blob is None:
+        if snapshot is None:
+            snapshot = campaign._warm_snapshot()
+        snapshot_blob = snapshot.to_bytes()
+    workers = min(campaign.workers, len(indices))
     window = window if window > 0 else 2 * workers
-    warm_locally = False
-    if campaign.fork_from_template:
-        if campaign.pool_mode == "ship":
-            if snapshot_blob is None:
-                snapshot_blob = campaign._warm_snapshot().to_bytes()
-        else:
-            snapshot_blob = None
-            warm_locally = True
-    else:
-        snapshot_blob = None
     remaining = iter(indices)
     pending: dict = {}
     pool = ProcessPoolExecutor(
         max_workers=workers,
         mp_context=_context(),
         initializer=_campaign_init,
-        initargs=(campaign, snapshot_blob, warm_locally),
+        initargs=(campaign, snapshot_blob),
     )
     try:
         def top_up():
@@ -255,39 +256,6 @@ def iter_campaign(campaign, indices, *, window: int = 0, snapshot_blob=None):
             top_up()
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-
-
-def run_campaign(campaign):
-    """Execute ``campaign`` on a process pool; called via ``workers > 1``.
-
-    Streams attempt reports back as they complete (bounded in-flight
-    window), then re-orders by attempt index so the digest and the
-    merged metrics block match the serial path exactly.  Worker death
-    raises :class:`~repro.sim.errors.WorkerLostError`; retrying belongs
-    to the checkpointed service (:mod:`repro.parallel.service`), which
-    journals completed attempts so nothing already run is lost.
-    """
-    workers = min(campaign.workers, campaign.attempts)
-    outcomes: list = [None] * campaign.attempts
-    wall_by_pid: dict[int, int] = {}
-    completed = 0
-    for index, report, metrics_state, pid, wall_ns in iter_campaign(
-        campaign, range(campaign.attempts)
-    ):
-        outcomes[index] = (report, metrics_state)
-        wall_by_pid[pid] = wall_by_pid.get(pid, 0) + wall_ns
-        completed += 1
-    worker_wall_ns = {
-        worker: wall_by_pid[pid] for worker, pid in enumerate(sorted(wall_by_pid))
-    }
-    block = make_pool_block(
-        workers=workers,
-        mode=dispatch_mode(campaign),
-        dispatched=campaign.attempts,
-        completed=completed,
-        worker_wall_ns=worker_wall_ns,
-    )
-    return campaign._finish(outcomes, block)
 
 
 # -- sweep dispatch ----------------------------------------------------------------

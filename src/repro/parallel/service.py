@@ -52,13 +52,12 @@ import hashlib
 import json
 import os
 import sys
-import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry, MetricStateAccumulator
-from repro.parallel.pool import dispatch_mode, iter_campaign, make_pool_block
+from repro.parallel.pool import campaign_pool_block, iter_campaign
 from repro.sim.errors import CheckpointError, ConfigError, WorkerLostError
 
 __all__ = [
@@ -132,18 +131,20 @@ def campaign_config_hash(campaign) -> str:
     """Hash of everything that determines campaign *results*.
 
     Covers the machine config, attempt count, attack and orchestrator
-    configs, warm strategy and chaos knobs — all frozen dataclasses with
-    deterministic reprs.  Engine choices with zero result consequences
-    (workers, pool mode, shard, window) are deliberately excluded: a
-    campaign checkpointed on 4 workers may resume on 1, or sharded
-    differently, without tripping the mismatch check.
+    configs and chaos knobs — all frozen dataclasses with deterministic
+    reprs.  Engine choices with zero result consequences (workers,
+    shard, window) are deliberately excluded: a campaign checkpointed on
+    4 workers may resume on 1, or sharded differently, without tripping
+    the mismatch check.
     """
     knobs = [
         campaign.base_config,
         campaign.attempts,
         campaign.attack_config,
         campaign.orchestrator_config,
-        campaign.fork_from_template,
+        # The retired fork_from_template knob, which every campaign now
+        # has set: kept so existing checkpoints keep their hashes.
+        True,
         campaign.chaos_profile,
         campaign.chaos_intensity,
     ]
@@ -329,28 +330,6 @@ def make_service_block(
     return registry.snapshot()
 
 
-# -- serial streaming --------------------------------------------------------------
-
-
-def _iter_serial(campaign, indices, snapshot=None):
-    """In-process analogue of ``iter_campaign`` (workers == 1)."""
-    if campaign.fork_from_template:
-        if snapshot is None:
-            snapshot = campaign._warm_snapshot()
-        for index in indices:
-            start = time.perf_counter_ns()
-            machine, extras = snapshot.fork()
-            report, state = campaign._run_attempt(
-                machine, extras["attack"], extras["candidates"], index
-            )
-            yield index, report, state, os.getpid(), time.perf_counter_ns() - start
-    else:
-        for index in indices:
-            start = time.perf_counter_ns()
-            report, state = campaign._run_attempt_fresh(index)
-            yield index, report, state, os.getpid(), time.perf_counter_ns() - start
-
-
 # -- the service -------------------------------------------------------------------
 
 
@@ -490,26 +469,20 @@ class CampaignService:
 
         wall_by_pid: dict[int, int] = {}
         if remaining:
-            snapshot = None
-            snapshot_blob = None
-            if campaign.fork_from_template:
-                if campaign.workers > 1 and campaign.pool_mode == "rewarm":
-                    snapshot_digest = None  # workers warm privately; no blob
-                else:
-                    snapshot = campaign._warm_snapshot()
-                    snapshot_blob = snapshot.to_bytes()
-                    snapshot_digest = hashlib.sha256(snapshot_blob).hexdigest()
-                    if manifest is not None and manifest.get("snapshot_digest") not in (
-                        None, snapshot_digest,
-                    ):
-                        # Not fatal — results are a pure function of the
-                        # seeds, not the blob bytes — but worth surfacing.
-                        print(
-                            f"warning: warm-snapshot digest changed across "
-                            f"resume ({manifest['snapshot_digest'][:12]}… -> "
-                            f"{snapshot_digest[:12]}…)",
-                            file=sys.stderr,
-                        )
+            snapshot = campaign._warm_snapshot()
+            snapshot_blob = snapshot.to_bytes()
+            snapshot_digest = hashlib.sha256(snapshot_blob).hexdigest()
+            if manifest is not None and manifest.get("snapshot_digest") not in (
+                None, snapshot_digest,
+            ):
+                # Not fatal — results are a pure function of the seeds,
+                # not the blob bytes — but worth surfacing.
+                print(
+                    f"warning: warm-snapshot digest changed across resume "
+                    f"({manifest['snapshot_digest'][:12]}… -> "
+                    f"{snapshot_digest[:12]}…)",
+                    file=sys.stderr,
+                )
             stream_fh = (
                 open(self.stream_out, "a", encoding="utf-8")
                 if self.stream_out else None
@@ -557,18 +530,14 @@ class CampaignService:
 
     def _execute(self, remaining, snapshot, snapshot_blob):
         """Stream outcomes for ``remaining``, surviving worker loss."""
-        campaign = self.campaign
-        if campaign.workers <= 1:
-            yield from _iter_serial(campaign, remaining, snapshot=snapshot)
-            return
         retries: dict[int, int] = {}
         pending = list(remaining)
         while pending:
             completed: set[int] = set()
             try:
                 for outcome in iter_campaign(
-                    campaign, pending,
-                    window=self.window, snapshot_blob=snapshot_blob,
+                    self.campaign, pending, window=self.window,
+                    snapshot=snapshot, snapshot_blob=snapshot_blob,
                 ):
                     completed.add(outcome[0])
                     yield outcome
@@ -615,16 +584,12 @@ class CampaignService:
                 accumulator.add(record["state"])
                 if record["report"]["success"]:
                     successes += 1
-        workers = min(max(1, campaign.workers), max(1, len(indices)))
-        pool_block = make_pool_block(
-            workers=workers,
-            mode="serial" if campaign.workers <= 1 else dispatch_mode(campaign),
+        pool_block = campaign_pool_block(
+            campaign,
+            len(indices),
             dispatched=self._counters["journaled"] + self._counters["worker_retries"],
             completed=self._counters["journaled"],
-            worker_wall_ns={
-                worker: wall_by_pid[pid]
-                for worker, pid in enumerate(sorted(wall_by_pid))
-            },
+            wall_by_pid=wall_by_pid,
         )
         service_block = make_service_block(
             journaled=self._counters["journaled"],

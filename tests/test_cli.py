@@ -187,6 +187,56 @@ class TestModalityOption:
         assert "attack.pfa.ciphertexts" not in report["metrics"]
 
 
+class TestCampaignOption:
+    FAST = ["--seed", "7", "--buffer-mib", "4"]
+
+    @pytest.mark.slow
+    def test_campaign_forks_and_matches_the_library_digest(self, capsys):
+        from repro.attack.explframe import ExplFrameConfig
+        from repro.attack.orchestrator import AttackCampaign, OrchestratorConfig
+        from repro.attack.templating import TemplatorConfig
+        from repro.cli import _vulnerable_config
+        from repro.sim.units import MIB, SECOND
+
+        assert main(["attack", *self.FAST, "--campaign", "2", "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["mode"] == "fork"
+        assert result["successes"] == result["attempts"] == 2
+        reference = AttackCampaign(
+            _vulnerable_config(7, 3.0),
+            2,
+            attack_config=ExplFrameConfig(
+                templator=TemplatorConfig(buffer_bytes=4 * MIB, batch_pairs=16),
+                max_campaigns=4,
+            ),
+            orchestrator_config=OrchestratorConfig(deadline_ns=3600 * SECOND),
+        ).run()
+        assert result["digest"] == reference.digest()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trace", "{tmp}/trace.json"], "--trace does not apply to --campaign"),
+            (["--metrics"], "--metrics does not apply to --campaign"),
+            (["--orchestrate"], "--orchestrate does not apply to --campaign"),
+            (["--single-shot"], "--single-shot does not apply to --campaign"),
+            (["--window", "4"], "--window requires --checkpoint DIR"),
+            (["--worker-retries", "5"], "--worker-retries requires --checkpoint DIR"),
+        ],
+        ids=["trace", "metrics", "orchestrate", "single-shot", "window", "worker-retries"],
+    )
+    def test_ignored_flags_exit_two(self, tmp_path, capsys, flags, message):
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        assert main(["attack", *self.FAST, "--campaign", "2", *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "trace.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--fork-from-template", "--pool-mode=rewarm"])
+    def test_retired_flags_are_unknown(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["attack", "--campaign", "2", flag])
+
+
 class TestScenarioOption:
     FAST = ["--buffer-mib", "4"]
 

@@ -115,7 +115,23 @@ class TestConfigHash:
     def test_engine_knobs_do_not_change_the_hash(self):
         base = campaign_config_hash(make_campaign())
         assert campaign_config_hash(make_campaign(workers=4)) == base
-        assert campaign_config_hash(make_campaign(pool_mode="rewarm")) == base
+        # Pinned values: checkpoints written before the rebuild and rewarm
+        # modes were retired must keep resuming.
+        assert base == (
+            "cbee1c165c881213b1f44b561a51f0e2f1d584f004e02c5e5f1dccde0064dd78"
+        )
+        assert campaign_config_hash(make_faultprobe_campaign()) == (
+            "afcdd819e1ded961096c971e1d50b8adbb741535322eb583ad4399ea9ded1600"
+        )
+
+    @pytest.mark.parametrize(
+        "knob",
+        [{"fork_from_template": False}, {"pool_mode": "rewarm"}],
+        ids=["fork_from_template", "pool_mode"],
+    )
+    def test_retired_execution_modes_are_config_errors(self, knob):
+        with pytest.raises(ConfigError, match="retired"):
+            make_campaign(**knob)
 
     def test_explicit_default_modality_keeps_pre_modality_hashes(self):
         # "explframe" is appended to nothing: checkpoints written before
